@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test bench bench-full bench-parallel bench-placement bench-baseline bench-matcher bench-matcher-full bench-million bench-million-full bench-backend bench-backend-full bench-scenarios profile equivalence artifacts lint
+.PHONY: test bench bench-full bench-parallel bench-baseline bench-matcher bench-matcher-full bench-million bench-million-full bench-backend bench-backend-full bench-scenarios profile artifacts lint
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -30,10 +30,6 @@ bench-full:
 # to the committed serial baseline.
 bench-parallel:
 	$(PY) -m benchmarks.perf --workers 2
-
-# Placement-path micro-bench: eligible-node caching win at 16+ nodes.
-bench-placement:
-	$(PY) -m benchmarks.perf.micro_placement
 
 # Push-vs-pull dispatch A/B at 64 nodes (heterogeneous speeds, churn
 # waves, flash crowd): digest + wall gates against the matcher section
@@ -79,12 +75,6 @@ bench-scenarios:
 # top-25 cumulative functions (the kill-list workflow).
 profile:
 	$(PY) -m benchmarks.perf.profile
-
-# Old-vs-new engine equivalence: run every macro-scenario in compat
-# mode (scalar fill, no batch hooks) and default mode, compare outcome
-# counters and digests (the committed re-baseline evidence).
-equivalence:
-	$(PY) -m benchmarks.perf.equivalence
 
 # Re-record the committed baseline after an intentional perf change.
 bench-baseline:

@@ -22,23 +22,21 @@ Everything execution control needs is a first-class operation here:
 
 Hot-path layout (DESIGN.md §7): the running set lives in a columnar
 :class:`~repro.engine.runstore.RunStore`; per-query ``_Running`` handles
-carry only cold bookkeeping (the query object, lock points) and expose
-the array fields as properties.  The fluid advance, milestone selection
-and solve feed run vectorized over the arrays for large running sets and
-as plain scalar loops — performing bit-identical float arithmetic — for
-small ones (``EngineConfig.vectorize_min_running``).  The fair-share
-*fill* has two variants: the exact scalar fill shared with
-:func:`repro.engine.resources.fair_share_speeds`, and a numpy fill whose
-sum order differs in the last bits (``EngineConfig.vectorized_fill``;
-see BENCH_core.json's equivalence history for the digest re-baseline).
+carry only cold bookkeeping (the query object, lock points).  The fluid
+advance and milestone selection are scalar loops over the columns.  The
+fair-share solve has one size cutover: running sets of up to
+``_VECTOR_FILL_MIN_RUNNING - 1`` queries use the exact scalar
+:func:`~repro.engine.resources.fill_two_resource`, larger ones the numpy
+:func:`~repro.engine.resources.fair_share_fill_vectorized`, whose sum
+order differs in the last bits.  Same-timestamp simulator batches always
+share one solve (:meth:`ExecutionEngine.reallocation_batch`).
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -47,7 +45,6 @@ from repro.engine.bufferpool import BufferPool
 from repro.engine.locks import LockManager, LockOutcome
 from repro.engine.query import Query, QueryState
 from repro.engine.resources import (
-    _EXACT_FILL_MAX_ACTIVE,
     MachineSpec,
     Resource,
     ResourceKind,
@@ -63,7 +60,6 @@ __all__ = [
     "CompletionCallback",
     "EngineConfig",
     "ExecutionEngine",
-    "compat_mode",
 ]
 
 
@@ -88,57 +84,16 @@ class EngineConfig:
     ``max_parallelism`` is the per-query ceiling on resource units,
     i.e. intra-query parallelism (1.0 = a query can at most keep one
     core and one disk unit busy).
-
-    Hot-path knobs:
-
-    ``vectorize_min_running``
-        Running-set size at which the advance/milestone/solve loops
-        switch from scalar Python to numpy array operations.  Both
-        perform identical float arithmetic; the scalar loops win below
-        ~16 entries on constant factors.  Set to ``0`` to force the
-        vectorized paths everywhere, or very large to force scalar.
-    ``vectorized_fill``
-        Allow the numpy fair-share fill (and dotted usage sums) for
-        running sets above the exact-fill threshold.  ``False`` keeps
-        the scalar fill whose results are bit-identical to the engine
-        before the columnar rework (the digest-compat oracle mode).
-    ``batch_dispatch``
-        Register same-timestamp batch hooks with the simulator so all
-        events at one instant share a single fair-share solve.
     """
 
     hot_set_size: int = 1000
     spill_penalty: float = 3.0
     max_parallelism: float = 1.0
-    vectorize_min_running: int = 17
-    vectorized_fill: bool = True
-    batch_dispatch: bool = True
 
 
-#: Process-wide override installed by :func:`compat_mode`.
-_COMPAT_MODE = False
-
-
-@contextmanager
-def compat_mode():
-    """Force engines constructed inside the block into oracle mode.
-
-    Oracle mode (``vectorized_fill=False, batch_dispatch=False``)
-    reproduces the pre-columnar engine's float arithmetic and event
-    interleaving bit-for-bit, so runs under ``compat_mode`` must match
-    digests committed before the rework.  The equivalence harness
-    (``benchmarks/perf/equivalence.py``) uses this to compare old-vs-new
-    outcomes on every macro-scenario.  The environment variable
-    ``REPRO_ENGINE_COMPAT`` applies the same override (for subprocess
-    sweep workers).
-    """
-    global _COMPAT_MODE
-    previous = _COMPAT_MODE
-    _COMPAT_MODE = True
-    try:
-        yield
-    finally:
-        _COMPAT_MODE = previous
+#: Running-set size from which the solve uses the numpy fill; below it
+#: the exact scalar fill runs, which is cheaper there on constant factors.
+_VECTOR_FILL_MIN_RUNNING = 17
 
 
 class _Running:
@@ -147,43 +102,15 @@ class _Running:
     Hot fields (progress, speed, weight, throttle, demands, caps,
     milestones) live in the engine's :class:`RunStore`; this object
     keeps only what the arrays cannot hold — the query object and the
-    lock-point sequence — plus properties reading through to the store
-    so existing callers (tests, policies) see the familiar attributes.
+    lock-point sequence.
     """
 
-    __slots__ = ("query", "store", "lock_points", "next_lock")
+    __slots__ = ("query", "lock_points", "next_lock")
 
-    def __init__(
-        self, query: Query, store: RunStore, lock_points: Sequence[float]
-    ) -> None:
+    def __init__(self, query: Query, lock_points: Sequence[float]) -> None:
         self.query = query
-        self.store = store
         self.lock_points = lock_points
         self.next_lock = 0
-
-    @property
-    def slot(self) -> int:
-        return self.store.index[self.query.query_id]
-
-    @property
-    def speed(self) -> float:
-        return float(self.store.speed[self.slot])
-
-    @property
-    def blocked(self) -> bool:
-        return bool(self.store.blocked[self.slot])
-
-    @property
-    def weight(self) -> float:
-        return float(self.store.weight[self.slot])
-
-    @property
-    def throttle(self) -> float:
-        return float(self.store.throttle[self.slot])
-
-    @property
-    def bottleneck(self) -> float:
-        return float(self.store.bottleneck[self.slot])
 
     def next_milestone(self) -> float:
         """Progress value of the next interesting point (lock or done)."""
@@ -212,10 +139,7 @@ class ExecutionEngine:
     ) -> None:
         self.sim = sim
         self.machine = machine or MachineSpec()
-        config = config or EngineConfig()
-        if _COMPAT_MODE or os.environ.get("REPRO_ENGINE_COMPAT"):
-            config = replace(config, vectorized_fill=False, batch_dispatch=False)
-        self.config = config
+        self.config = config or EngineConfig()
         self.buffer_pool = BufferPool(
             capacity_mb=self.machine.memory_mb,
             spill_penalty=self.config.spill_penalty,
@@ -254,10 +178,9 @@ class ExecutionEngine:
         self._defer_depth = 0
         self._realloc_pending = False
         self._last_sync_time = -1.0
-        if self.config.batch_dispatch:
-            add_hooks = getattr(sim, "add_batch_hooks", None)
-            if add_hooks is not None:
-                add_hooks(self._batch_enter, self._batch_exit)
+        add_hooks = getattr(sim, "add_batch_hooks", None)
+        if add_hooks is not None:
+            add_hooks(self._batch_enter, self._batch_exit)
 
     # ------------------------------------------------------------------
     # observers
@@ -356,7 +279,7 @@ class ExecutionEngine:
                 query_id, cost.lock_count, now
             )
             lock_points = [p for p in registered if p > query.progress]
-        entry = _Running(query, self.store, lock_points)
+        entry = _Running(query, lock_points)
         self._running[query_id] = entry
         self._membership_changed()
         store = self.store
@@ -469,21 +392,6 @@ class ExecutionEngine:
         if n == 0:
             return
         dt = now - previous
-        if n >= self.config.vectorize_min_running:
-            speed = store.speed[idx]
-            moving = speed > 0.0
-            if not moving.any():
-                return
-            midx = idx[moving]
-            old_progress = store.progress[midx]
-            new_progress = old_progress + speed[moving] * dt
-            if bool(((new_progress >= 1.0) & (old_progress < 1.0)).any()):
-                # A query crossing the finish line leaves the active
-                # request set, so the memoized allocation is stale
-                # until the next real solve.
-                self._alloc_version += 1
-            store.progress[midx] = np.minimum(new_progress, 1.0)
-            return
         slots = idx.tolist()
         speeds = store.speed[idx].tolist()
         progresses = store.progress[idx].tolist()
@@ -494,6 +402,9 @@ class ExecutionEngine:
                 progress = progresses[i] + speed * dt
                 if progress >= 1.0:
                     if progresses[i] < 1.0:
+                        # A query crossing the finish line leaves the
+                        # active request set, so the memoized allocation
+                        # is stale until the next real solve.
                         self._alloc_version += 1
                     progress = 1.0
                 progress_col[slots[i]] = progress
@@ -601,11 +512,7 @@ class ExecutionEngine:
             self._refresh_demands()
         store = self.store
         idx = store.live_indices()
-        if (
-            self.config.vectorized_fill
-            and idx.size >= self.config.vectorize_min_running
-            and idx.size > _EXACT_FILL_MAX_ACTIVE
-        ):
+        if idx.size >= _VECTOR_FILL_MIN_RUNNING:
             usage_cpu, usage_disk = self._solve_vectorized(idx)
         else:
             usage_cpu, usage_disk = self._solve_scalar(idx)
@@ -617,10 +524,9 @@ class ExecutionEngine:
     def _solve_scalar(self, idx: np.ndarray):
         """Feed the exact scalar fill from the columnar store.
 
-        Iteration order, float arithmetic and accumulation order match
-        the pre-columnar engine's solve exactly (the fill core is the
-        shared :func:`fill_two_resource`), so scalar solves reproduce
-        committed digests bit-for-bit.
+        Rows go to :func:`fill_two_resource` in running-set order and
+        usage accumulates in that order; the committed digests pin the
+        resulting float arithmetic.
         """
         store = self.store
         slots = idx.tolist()
@@ -667,8 +573,7 @@ class ExecutionEngine:
         """Vectorized solve: numpy fill + dotted usage sums.
 
         Results agree with :meth:`_solve_scalar` to solver tolerance
-        (1e-9 per speed) but not bit-for-bit — sum order differs — which
-        is why enabling it required the committed digest re-baseline.
+        (1e-9 per speed) but not bit-for-bit — sum order differs.
         """
         store = self.store
         bottleneck = store.bottleneck[idx]
@@ -710,44 +615,25 @@ class ExecutionEngine:
         now = self.sim.now
         best_time = None
         best_id = None
-        if n >= self.config.vectorize_min_running:
-            progress = store.progress[idx]
-            done = (progress >= 1.0 - 1e-12) & ~store.locks_pending[idx]
-            if bool(done.any()):
+        qids = store.qid[idx].tolist()
+        progresses = store.progress[idx].tolist()
+        speeds = store.speed[idx].tolist()
+        milestones = store.milestone[idx].tolist()
+        locks_pending = store.locks_pending[idx].tolist()
+        for i in range(n):
+            progress = progresses[i]
+            if progress >= 1.0 - 1e-12 and not locks_pending[i]:
                 # Finished during a sync triggered by someone else's
                 # event; reap it via an immediate milestone of its own.
-                best_time = now
-                best_id = int(store.qid[idx[int(np.argmax(done))]])
-            else:
-                speed = store.speed[idx]
-                moving = speed > 0.0
-                if bool(moving.any()):
-                    eta = np.full(n, np.inf)
-                    gap = store.milestone[idx] - progress
-                    np.maximum(gap, 0.0, out=gap)
-                    eta[moving] = now + gap[moving] / speed[moving]
-                    pos = int(np.argmin(eta))
-                    best_time = float(eta[pos])
-                    best_id = int(store.qid[idx[pos]])
-        else:
-            slots = idx.tolist()
-            qids = store.qid[idx].tolist()
-            progresses = store.progress[idx].tolist()
-            speeds = store.speed[idx].tolist()
-            milestones = store.milestone[idx].tolist()
-            locks_pending = store.locks_pending[idx].tolist()
-            for i in range(n):
-                progress = progresses[i]
-                if progress >= 1.0 - 1e-12 and not locks_pending[i]:
-                    best_time, best_id = now, qids[i]
-                    break
-                speed = speeds[i]
-                if speed <= 0:
-                    continue
-                gap = milestones[i] - progress
-                eta = now + (gap if gap > 0.0 else 0.0) / speed
-                if best_time is None or eta < best_time:
-                    best_time, best_id = eta, qids[i]
+                best_time, best_id = now, qids[i]
+                break
+            speed = speeds[i]
+            if speed <= 0:
+                continue
+            gap = milestones[i] - progress
+            eta = now + (gap if gap > 0.0 else 0.0) / speed
+            if best_time is None or eta < best_time:
+                best_time, best_id = eta, qids[i]
         if best_id is not None:
             self._milestone_handle = self.sim.schedule_at(
                 best_time,
@@ -767,7 +653,14 @@ class ExecutionEngine:
         slot = store.index[query_id]
         milestone = entry.next_milestone()
         progress = float(store.progress[slot])
-        if progress >= milestone - 1e-9:
+        speed = float(store.speed[slot])
+        now = self.sim.now
+        # A gap above the snap tolerance can still be too small for the
+        # clock to resolve at ``now`` (gap / speed below half an ulp);
+        # re-arming would fire at ``now`` forever, so it counts as reached.
+        if progress >= milestone - 1e-9 or (
+            speed > 0.0 and now + (milestone - progress) / speed <= now
+        ):
             if progress < milestone:
                 store.progress[slot] = milestone
                 progress = milestone

@@ -1,7 +1,9 @@
-"""Eligible-node caching: invalidation edges and behavioral equivalence."""
+"""Eligible-node caching: invalidation edges and agreement with a fresh scan."""
 
 from __future__ import annotations
 
+from repro.cluster import scenario
+from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.failover import FaultPlan
 from repro.cluster.scenario import build_cluster, run_cluster_scenario
 from repro.engine.simulator import Simulator
@@ -83,11 +85,11 @@ class TestCacheInvalidation:
         dispatcher.eligible_nodes()  # populate the cache
         dispatcher.submit(_query(1, cost=0.3))  # occupies the only slot
         dispatcher.submit(_query(2, cost=0.3))  # parks in the cluster queue
-        assert len(dispatcher._queue) == 1
+        assert len(dispatcher.binding.queue) == 1
         while dispatcher.completions == 0:
             assert sim.step(), "first query never completed"
         # same event as the first completion: the queue already drained
-        assert not dispatcher._queue
+        assert not dispatcher.binding.queue
 
     def test_cached_set_always_equals_fresh_scan(self):
         # Interleave placements, faults and time; the cache must always
@@ -111,28 +113,74 @@ class TestCacheInvalidation:
         assert checks == 6
 
 
+class _CheckedSimulator(Simulator):
+    """Calls ``check()`` after every event's action."""
+
+    def __init__(self, seed: int, check) -> None:
+        super().__init__(seed=seed)
+        self._check = check
+
+    def schedule_at(self, time, action, label=""):
+        def checked():
+            action()
+            self._check()
+
+        return super().schedule_at(time, checked, label)
+
+
+def _digests_with_cache_on_and_off(monkeypatch, **kwargs):
+    """Scenario digests with the cache in use, then with every lookup a fresh scan."""
+    on = dispatcher_digest(run_cluster_scenario(**kwargs))
+    cached_lookup = ClusterDispatcher._eligible_for
+
+    def fresh_lookup(self, query):
+        self._eligible_cache = None
+        return cached_lookup(self, query)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ClusterDispatcher, "_eligible_for", fresh_lookup)
+        off = dispatcher_digest(run_cluster_scenario(**kwargs))
+    return {on, off}
+
+
 class TestCacheEquivalence:
-    def test_scenario_digest_identical_with_cache_on_and_off(self):
-        digests = {
-            dispatcher_digest(
-                run_cluster_scenario(
-                    seed=11, nodes=4, policy="least", horizon=10.0,
-                    cache_eligible=flag,
-                )
-            )
-            for flag in (True, False)
-        }
+    def test_scenario_digest_identical_with_cache_on_and_off(self, monkeypatch):
+        digests = _digests_with_cache_on_and_off(
+            monkeypatch, seed=11, nodes=4, policy="least", horizon=10.0
+        )
         assert len(digests) == 1
 
-    def test_faulted_scenario_digest_identical_with_cache_on_and_off(self):
-        plan = FaultPlan.node_kill("n1", at=3.0, recover_at=6.0)
-        digests = {
-            dispatcher_digest(
-                run_cluster_scenario(
-                    seed=13, nodes=3, policy="cost", horizon=10.0,
-                    fault_plan=plan, cache_eligible=flag,
-                )
-            )
-            for flag in (True, False)
-        }
+    def test_faulted_scenario_digest_identical_with_cache_on_and_off(
+        self, monkeypatch
+    ):
+        digests = _digests_with_cache_on_and_off(
+            monkeypatch, seed=13, nodes=3, policy="cost", horizon=10.0,
+            fault_plan=FaultPlan.node_kill("n1", at=3.0, recover_at=6.0),
+        )
         assert len(digests) == 1
+
+    def test_cache_equals_fresh_scan_every_event(self, monkeypatch):
+        # The faulted scenario crashes and recovers a node mid-run; the
+        # cached eligible set must equal a from-scratch accepting scan
+        # after every simulator event, not just between placements.
+        built = []
+        checked = []
+
+        def check():
+            dispatcher = built[0]
+            cached = dispatcher.eligible_nodes()
+            fresh = [n for n in dispatcher.nodes if n.accepting]
+            assert cached == fresh, f"diverged at t={sim.now}"
+            checked.append(sim.now)
+
+        def capture(*args, **kwargs):
+            built.append(build_cluster(*args, **kwargs))
+            return built[0]
+
+        monkeypatch.setattr(scenario, "build_cluster", capture)
+        sim = _CheckedSimulator(13, check)
+        run_cluster_scenario(
+            nodes=3, policy="cost", horizon=10.0, sim=sim,
+            fault_plan=FaultPlan.node_kill("n1", at=3.0, recover_at=6.0),
+        )
+        assert len(checked) == sim.events_fired > 1000

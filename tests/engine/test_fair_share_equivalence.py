@@ -1,26 +1,31 @@
-"""Property-based equivalence: optimized allocator vs the reference.
+"""Property-based equivalence: the production fills vs the reference.
 
-The optimized :func:`allocate_fair_shares` takes fast paths (early exit
-when no resource is near saturation, batched cap removal) above a small
-active-set threshold.  These tests pin it to the retained
-:func:`allocate_fair_shares_reference` oracle and to the fair-share
-invariants, across generated request mixes well beyond the threshold.
+The engine runs two water-fills: the exact scalar
+:func:`fill_two_resource` for small running sets and the numpy
+:func:`fair_share_fill_vectorized` above the size cutover.  These tests
+pin both to the :func:`allocate_fair_shares_reference` oracle kept in
+``tests/engine/fair_share_oracle.py`` and to the fair-share invariants,
+across generated request mixes well beyond the cutover: the scalar fill
+must match the oracle bit for bit, the vector fill within ``1e-9``.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.resources import (
     ResourceKind,
-    ShareRequest,
-    allocate_fair_shares,
-    allocate_fair_shares_reference,
     fair_share_fill_vectorized,
-    fair_share_speeds,
     fill_two_resource,
+)
+
+from tests.engine.fair_share_oracle import (
+    ShareRequest,
+    allocate_fair_shares_reference,
+    production_allocations,
 )
 
 SPEED_TOL = 1e-9
@@ -60,26 +65,29 @@ def _build(rows):
 
 
 @given(
-    rows=st.lists(request_strategy, min_size=0, max_size=40),
+    rows=st.lists(request_strategy, min_size=0, max_size=60),
     capacities=capacity_strategy,
 )
 @settings(max_examples=200, deadline=None)
 def test_optimized_matches_reference(rows, capacities):
+    """Scalar fill: bit for bit; vector fill: within solver tolerance."""
     requests = _build(rows)
-    got = allocate_fair_shares(requests, capacities)
+    fills = production_allocations(requests, capacities)
     want = allocate_fair_shares_reference(requests, capacities)
-    assert set(got) == set(want)
+    scalar = fills["fill_two_resource"]
+    vector = fills["fair_share_fill_vectorized"]
+    assert set(scalar) == set(vector) == set(want)
     for key, ref_alloc in want.items():
-        assert got[key].speed == pytest_approx(ref_alloc.speed), (
-            f"request {key}: optimized speed {got[key].speed} vs "
+        assert scalar[key].speed == ref_alloc.speed, (
+            f"request {key}: scalar speed {scalar[key].speed} vs "
             f"reference {ref_alloc.speed}"
         )
-
-
-def pytest_approx(value):
-    import pytest
-
-    return pytest.approx(value, abs=SPEED_TOL, rel=SPEED_TOL)
+        assert vector[key].speed == pytest.approx(
+            ref_alloc.speed, abs=SPEED_TOL, rel=SPEED_TOL
+        ), (
+            f"request {key}: vector speed {vector[key].speed} vs "
+            f"reference {ref_alloc.speed}"
+        )
 
 
 @given(
@@ -89,37 +97,36 @@ def pytest_approx(value):
 @settings(max_examples=200, deadline=None)
 def test_fair_share_invariants(rows, capacities):
     requests = _build(rows)
-    allocations = allocate_fair_shares(requests, capacities)
+    for fill, allocations in production_allocations(requests, capacities).items():
+        # Capacity: total usage never exceeds any resource's capacity.
+        for kind, capacity in capacities.items():
+            total = sum(a.usage.get(kind, 0.0) for a in allocations.values())
+            assert total <= capacity * (1 + 1e-9) + 1e-9, fill
 
-    # Capacity: total usage never exceeds any resource's capacity.
-    for kind, capacity in capacities.items():
-        total = sum(a.usage.get(kind, 0.0) for a in allocations.values())
-        assert total <= capacity * (1 + 1e-9) + 1e-9
-
-    saturated = {
-        kind
-        for kind, capacity in capacities.items()
-        if sum(a.usage.get(kind, 0.0) for a in allocations.values())
-        >= capacity * (1 - 1e-6)
-    }
-    for req in requests:
-        alloc = allocations[req.key]
-        # Cap: no request exceeds its speed cap.
-        assert alloc.speed <= req.speed_cap * (1 + 1e-9) + 1e-9
-        assert alloc.speed >= 0.0
-        # Max-min: a non-trivial request below its cap must be blocked
-        # by a saturated resource it demands.
-        positive = {k for k, v in req.demands.items() if v > 0}
-        if (
-            positive
-            and req.weight > 0
-            and req.speed_cap > 0
-            and alloc.speed < req.speed_cap * (1 - 1e-6)
-        ):
-            assert positive & saturated, (
-                f"request {req.key} runs below cap with no saturated "
-                f"resource among its demands"
-            )
+        saturated = {
+            kind
+            for kind, capacity in capacities.items()
+            if sum(a.usage.get(kind, 0.0) for a in allocations.values())
+            >= capacity * (1 - 1e-6)
+        }
+        for req in requests:
+            alloc = allocations[req.key]
+            # Cap: no request exceeds its speed cap.
+            assert alloc.speed <= req.speed_cap * (1 + 1e-9) + 1e-9, fill
+            assert alloc.speed >= 0.0, fill
+            # Max-min: a non-trivial request below its cap must be
+            # blocked by a saturated resource it demands.
+            positive = {k for k, v in req.demands.items() if v > 0}
+            if (
+                positive
+                and req.weight > 0
+                and req.speed_cap > 0
+                and alloc.speed < req.speed_cap * (1 - 1e-6)
+            ):
+                assert positive & saturated, (
+                    f"{fill}: request {req.key} runs below cap with no "
+                    f"saturated resource among its demands"
+                )
 
 
 @given(
@@ -128,23 +135,19 @@ def test_fair_share_invariants(rows, capacities):
 )
 @settings(max_examples=100, deadline=None)
 def test_low_level_speeds_match_allocations(rows, capacities):
+    """Usage totals the executor accumulates from the fills' speeds
+    match the oracle's per-request usage."""
     requests = _build(rows)
-    allocations = allocate_fair_shares(requests, capacities)
-    speeds, usage_totals = fair_share_speeds(list(requests), capacities)
-    for req in requests:
-        assert math.isclose(
-            speeds.get(req.key, 0.0),
-            allocations[req.key].speed,
-            rel_tol=SPEED_TOL,
-            abs_tol=SPEED_TOL,
-        )
-    for kind in capacities:
-        expected = sum(
-            a.usage.get(kind, 0.0) for a in allocations.values()
-        )
-        assert math.isclose(
-            usage_totals.get(kind, 0.0), expected, rel_tol=1e-9, abs_tol=1e-9
-        )
+    want = allocate_fair_shares_reference(requests, capacities)
+    for fill, allocations in production_allocations(requests, capacities).items():
+        for kind in capacities:
+            got = sum(
+                allocations[req.key].speed * req.demands.get(kind, 0.0)
+                for req in requests
+                if req.demands.get(kind, 0.0) > 0
+            )
+            expected = sum(a.usage.get(kind, 0.0) for a in want.values())
+            assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9), fill
 
 
 active_row_strategy = st.builds(
@@ -162,7 +165,7 @@ active_row_strategy = st.builds(
     disk_cap=st.floats(min_value=0.1, max_value=64.0),
 )
 @settings(max_examples=200, deadline=None)
-def test_vectorized_fill_matches_exact_fill(rows, cpu_cap, disk_cap):
+def test_vector_fill_matches_exact_fill(rows, cpu_cap, disk_cap):
     """The numpy water-fill agrees with the exact scalar fill to solver
     tolerance on every active request (the executor's two solve paths)."""
     # The executor only feeds rows with a positive bottleneck demand.
@@ -188,9 +191,8 @@ def test_vectorized_fill_matches_exact_fill(rows, cpu_cap, disk_cap):
 
 
 def test_small_sets_are_bit_identical_to_reference():
-    """At or below the exact-fill threshold the optimized allocator must
-    reproduce the reference bit for bit (seeded trajectories depend on
-    it)."""
+    """The scalar fill reproduces the reference bit for bit (seeded
+    trajectories depend on it)."""
     capacities = {ResourceKind.CPU: 4.0, ResourceKind.DISK: 2.0}
     requests = [
         ShareRequest(
@@ -204,7 +206,7 @@ def test_small_sets_are_bit_identical_to_reference():
         )
         for i in range(12)
     ]
-    got = allocate_fair_shares(requests, capacities)
+    got = production_allocations(requests, capacities)["fill_two_resource"]
     want = allocate_fair_shares_reference(requests, capacities)
     for key in want:
         assert got[key].speed == want[key].speed  # exact, not approx

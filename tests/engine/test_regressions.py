@@ -145,3 +145,24 @@ class TestServiceClassVsSubclass:
         manager.run(horizon=3.0, drain=0.0)  # must not raise
         assert query.service_class in ("high", "medium", "low")
         assert query.demotions >= 1
+
+
+class TestSubResolutionMilestone:
+    """A lock-point milestone whose gap sat above the 1e-9 snap but whose
+    time-to-reach (gap / speed) was below the clock's float resolution
+    re-armed at ``now`` forever: the run never advanced past that
+    instant (the intermittent tier-1 hang in the conservation
+    properties)."""
+
+    @pytest.mark.parametrize("io, start", [(5.96e-8, 2.0), (5.9e-8, 1.0)])
+    def test_tiny_locking_query_completes(self, io, start):
+        sim = Simulator(seed=7)
+        engine = ExecutionEngine(sim, MachineSpec(2.0, 2.0, 512.0))
+        done = []
+        engine.on_exit(lambda q, o: done.append(o.value))
+        sim.schedule_at(
+            start,
+            lambda: engine.start(submitted_query(sim, cpu=0.0, io=io, locks=2)),
+        )
+        sim.run(max_events=1_000)
+        assert done == ["completed"]

@@ -1,18 +1,16 @@
-"""Property: the vectorized processor-sharing advance matches the scalar
-reference path on randomized small workloads.
+"""Property: the engine's solve paths agree end to end on randomized
+small workloads.
 
-The engine has three hot-path layers behind ``EngineConfig`` knobs:
+The engine has two hot-path switches:
 
-* the **advance** (``_sync_all``) and **milestone selection**
-  (``_schedule_next_milestone``) switch between a scalar loop and a
-  numpy path at ``vectorize_min_running`` — these are required to be
-  **bit-identical**, so completion-time streams and digests must be
-  exactly equal between a forced-scalar and a forced-vector run;
-* the **fair-share fill** switches at the same cutover (plus the
-  exact-fill floor) — the vectorized fill reorders float sums, so it is
-  pinned to solver tolerance instead (see
-  ``test_fair_share_equivalence``), and here end-to-end completion
-  times must agree to tolerance with exactly equal outcome counts.
+* the **fair-share fill** switches from the exact scalar fill to the
+  numpy fill at ``executor._VECTOR_FILL_MIN_RUNNING`` live queries — the
+  numpy fill reorders float sums, so it is pinned to solver tolerance
+  (see ``test_fair_share_equivalence``), and here end-to-end completion
+  times must agree to tolerance with exactly equal outcome counts;
+* **same-timestamp batching** (the simulator's batch hooks) coalesces
+  the solves of one instant — it must be observationally transparent,
+  so a run whose simulator ignores batch hooks has the same bits.
 
 Workloads include same-timestamp submission collisions (draws land on a
 coarse time grid), zero-work queries (finish instantly inside start)
@@ -26,10 +24,12 @@ import math
 import struct
 from typing import List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.executor import EngineConfig, ExecutionEngine
+from repro.engine import executor
+from repro.engine.executor import ExecutionEngine
 from repro.engine.query import QueryState
 from repro.engine.resources import MachineSpec
 from repro.engine.simulator import Simulator
@@ -37,18 +37,9 @@ from tests.conftest import make_query
 
 _MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=65536.0)
 
-#: forced-scalar reference: vector paths unreachable, no batch hooks
-SCALAR_CONFIG = EngineConfig(
-    vectorize_min_running=10**9, vectorized_fill=False, batch_dispatch=False
-)
-#: vectorized advance + milestone selection, exact scalar fill
-VECTOR_ADVANCE_CONFIG = EngineConfig(
-    vectorize_min_running=1, vectorized_fill=False, batch_dispatch=True
-)
-#: everything vectorized (the default-mode shape, forced on at any size)
-VECTOR_FILL_CONFIG = EngineConfig(
-    vectorize_min_running=1, vectorized_fill=True, batch_dispatch=True
-)
+#: fill cutovers: the scalar fill at every size, the numpy fill at every size
+SCALAR_FILL = 10**9
+VECTOR_FILL = 1
 
 # (submit-grid step, cpu seconds, io seconds, weight); the coarse grid
 # forces same-timestamp submission collisions, and 0.0 demands make
@@ -61,15 +52,24 @@ job_strategy = st.tuples(
 )
 
 
-def _run(jobs, config: EngineConfig) -> Tuple[List[Tuple[int, float]], str]:
+class _UnbatchedSimulator(Simulator):
+    """A simulator that ignores batch hooks: every event solves alone."""
+
+    def add_batch_hooks(self, enter, exit) -> None:
+        pass
+
+
+def _run(
+    jobs, fill_cutover: int, sim_class=Simulator
+) -> Tuple[List[Tuple[int, float]], str]:
     """Run ``jobs`` on a fresh engine; return completions and a digest.
 
     Completions are ``(job index, end time)`` in completion order; the
     digest hashes the full-precision stream the way the perf scenarios
     do, so "digests equal" means bit-identical trajectories.
     """
-    sim = Simulator(seed=11)
-    engine = ExecutionEngine(sim, _MACHINE, config)
+    sim = sim_class(seed=11)
+    engine = ExecutionEngine(sim, _MACHINE)
     completions: List[Tuple[int, float]] = []
     index_of = {}
     engine.on_exit(
@@ -91,7 +91,9 @@ def _run(jobs, config: EngineConfig) -> Tuple[List[Tuple[int, float]], str]:
             lambda i=job_index, c=cpu, d=io, w=weight: start(i, c, d, w),
             label=f"submit:{job_index}",
         )
-    sim.run_until(10_000.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor, "_VECTOR_FILL_MIN_RUNNING", fill_cutover)
+        sim.run_until(10_000.0)
     assert len(completions) == len(jobs), "every query must complete"
 
     hasher = hashlib.sha256()
@@ -100,24 +102,14 @@ def _run(jobs, config: EngineConfig) -> Tuple[List[Tuple[int, float]], str]:
     return completions, hasher.hexdigest()
 
 
-@given(jobs=st.lists(job_strategy, max_size=14))
-@settings(max_examples=80, deadline=None)
-def test_vectorized_advance_is_bit_identical_to_scalar(jobs):
-    """Vector sync/milestone paths + batching: same bits as the scalar
-    reference — completion order, completion times and digest."""
-    scalar, scalar_digest = _run(jobs, SCALAR_CONFIG)
-    vector, vector_digest = _run(jobs, VECTOR_ADVANCE_CONFIG)
-    assert vector == scalar  # exact float equality, in completion order
-    assert vector_digest == scalar_digest
-
-
 @given(jobs=st.lists(job_strategy, min_size=1, max_size=24))
 @settings(max_examples=40, deadline=None)
-def test_vectorized_fill_matches_scalar_to_tolerance(jobs):
-    """The fully vectorized engine completes the same queries at times
-    equal to the scalar reference within solver tolerance."""
-    scalar, _ = _run(jobs, SCALAR_CONFIG)
-    vector, _ = _run(jobs, VECTOR_FILL_CONFIG)
+def test_vector_fill_matches_scalar_to_tolerance(jobs):
+    """An engine on the numpy fill at every size completes the same
+    queries at times equal to the scalar-fill engine within solver
+    tolerance."""
+    scalar, _ = _run(jobs, SCALAR_FILL)
+    vector, _ = _run(jobs, VECTOR_FILL)
     assert len(vector) == len(scalar)
     assert sorted(i for i, _ in vector) == sorted(i for i, _ in scalar)
     end_scalar = dict(scalar)
@@ -128,11 +120,12 @@ def test_vectorized_fill_matches_scalar_to_tolerance(jobs):
 
 
 def test_same_timestamp_collision_batch_is_bit_identical():
-    """A full same-instant burst (the batch-dispatch hook path) stays
-    bit-identical with the vectorized advance enabled."""
+    """A full same-instant burst (the batch-hook path) has the same bits
+    as the same run with every event solved on its own."""
     jobs = [(0, 0.5 + 0.01 * i, 0.25 + 0.02 * i, 1.0 + 0.1 * i) for i in range(20)]
     jobs += [(0, 0.0, 0.0, 1.0), (1, 0.0, 0.0, 2.0)]  # zero-work collisions
-    scalar, scalar_digest = _run(jobs, SCALAR_CONFIG)
-    vector, vector_digest = _run(jobs, VECTOR_ADVANCE_CONFIG)
-    assert vector == scalar
-    assert vector_digest == scalar_digest
+    for cutover in (SCALAR_FILL, executor._VECTOR_FILL_MIN_RUNNING):
+        unbatched, unbatched_digest = _run(jobs, cutover, _UnbatchedSimulator)
+        batched, batched_digest = _run(jobs, cutover)
+        assert batched == unbatched
+        assert batched_digest == unbatched_digest

@@ -14,8 +14,6 @@ locally:
 * determinism — identical seeds produce identical outcome streams.
 """
 
-import math
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -87,10 +85,9 @@ class TestConservation:
                 if in_engine:
                     # in flight means still advancing: positive speed or
                     # a pending wake-up (lock wait / reaper event)
-                    entry = manager.engine._running[query.query_id]
                     assert (
-                        entry.speed > 0
-                        or entry.blocked
+                        manager.engine.speed_of(query.query_id) > 0
+                        or query.state is QueryState.BLOCKED
                         or sim.pending_events() > 0
                     ), query
         stats = manager.metrics.stats_for("wl")
