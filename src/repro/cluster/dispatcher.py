@@ -369,7 +369,7 @@ class ClusterDispatcher:
                     n, query, decision
                 )
             )
-            node.on_accepting_change(self._on_accepting_change)
+            node.on_capacity_change(self._on_capacity_change)
             self.metrics.record_health(sim.now, node)
         self._ticker = sim.schedule_periodic(
             control_period, self._tick, label="cluster:tick"
@@ -445,17 +445,19 @@ class ClusterDispatcher:
         """UP, unsaturated nodes (minus any that refused this query)."""
         return list(self._eligible_for(query))
 
-    def _on_accepting_change(self, node: ClusterNode) -> None:
-        self._eligible_cache = None
+    def _on_capacity_change(self, node: ClusterNode, accepting_flipped: bool) -> None:
+        if accepting_flipped:
+            self._eligible_cache = None
 
     def _eligible_for(self, query: Optional[Query]) -> List[ClusterNode]:
         """The eligible set, cached between accepting-bit flips.
 
         Returns the shared cache list when the query has no exclusions;
-        callers must treat it as read-only.  Nodes notify
-        :meth:`_on_accepting_change` whenever their accepting bit flips
-        (health transitions, ``max_outstanding`` edge crossings), so the
-        cached list is always equal to a fresh scan.
+        callers must treat it as read-only.  Every node's capacity
+        notification reaches :meth:`_on_capacity_change`, which drops
+        the cache when the accepting bit flipped (health transitions,
+        ``max_outstanding`` edge crossings), so the cached list is
+        always equal to a fresh scan.
         """
         eligible = self._eligible_cache
         if eligible is None:
@@ -597,7 +599,20 @@ class ClusterDispatcher:
         for node in self.nodes:
             node.shutdown()
 
-    def run(self, horizon: float, drain: float = 0.0) -> None:
-        """Run the cluster to ``horizon`` plus a drain window."""
-        self.sim.run_until(horizon + drain)
-        self.shutdown()
+    def run(
+        self,
+        horizon: float,
+        drain: float = 0.0,
+        max_events: Optional[int] = None,
+    ) -> None:
+        """Run the cluster to ``horizon`` plus a drain window.
+
+        ``max_events`` bounds the event count like
+        :meth:`repro.core.manager.WorkloadManager.run`: hitting it raises
+        :class:`~repro.errors.SimulationBudgetExceeded`.  The periodic
+        processes are stopped either way.
+        """
+        try:
+            self.sim.run_until(horizon + drain, max_events=max_events)
+        finally:
+            self.shutdown()

@@ -24,13 +24,22 @@ Matching checks, per (node, entry) pair:
 When several idle nodes compete for the head of the queue the fastest
 one wins (``speed_factor`` descending, then fewest outstanding, then
 name) — deterministic, so pull dispatch digests are seed-stable.
+
+The matcher never scans the cluster for free slots.  It keeps a
+*hungry-node index* — node → :attr:`~repro.cluster.node.ClusterNode.pull_rank`
+for every node with a free slot — maintained by the nodes' capacity
+notifications (:meth:`~repro.cluster.node.ClusterNode.on_capacity_change`),
+which fire on every backlog change, engine start or exit, health
+transition and speed change.  A pull cycle orders only the indexed
+nodes; because node names are unique the rank keys are too, so the
+order is exactly that of a fresh scan sorted by the ranking rule.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.cluster.node import ClusterNode
+from repro.cluster.node import ClusterNode, PullRank
 from repro.cluster.taskqueue import TaskEntry, TaskQueue
 from repro.engine.query import Query
 
@@ -57,21 +66,36 @@ class Matcher:
         self._excluded = excluded or (lambda query, node: False)
         self.matches = 0
         self._serving = False  # re-entrancy guard: place() can re-route
+        #: The hungry-node index: node -> pull rank, for nodes with a
+        #: free slot; kept current by the nodes' capacity notifications.
+        self._hungry: Dict[ClusterNode, PullRank] = {}
+        for node in self.nodes:
+            node.on_capacity_change(self._on_capacity_change)
+            if node.pull_rank is not None:
+                self._hungry[node] = node.pull_rank
 
     # ------------------------------------------------------------------
-    # capacity predicates
+    # capacity
     # ------------------------------------------------------------------
     @staticmethod
     def has_slot(node: ClusterNode) -> bool:
-        """A free execution slot: the node could *start* work right now."""
+        """A free execution slot: the node could *start* work right now.
+
+        The defining predicate, read from live node state; the index
+        holds exactly the nodes for which it is true.
+        """
         return (
             node.health.accepts_placements
             and node.running < node.mpl
             and node.outstanding_work < node.max_outstanding
         )
 
-    def _rank(self, node: ClusterNode) -> tuple:
-        return (-node.speed_factor, node.outstanding_work, node.name)
+    def _on_capacity_change(self, node: ClusterNode, accepting_flipped: bool) -> None:
+        rank = node.pull_rank
+        if rank is None:
+            self._hungry.pop(node, None)
+        else:
+            self._hungry[node] = rank
 
     # ------------------------------------------------------------------
     # pull cycles
@@ -97,26 +121,26 @@ class Matcher:
         pending, so new work binds immediately) and on the periodic
         tick (the poll cadence that catches anything missed).  Nodes
         are re-ranked after every binding so the fastest, least-loaded
-        node always takes the next entry.
+        node always takes the next entry.  A node that matches nothing
+        changes no state, so the best-ranked node is tried first and
+        the full ranking is built only when it comes back empty.
         """
         if self._serving:
             return 0
         self._serving = True
         placed = 0
+        hungry = self._hungry
+        rank = hungry.__getitem__
         try:
-            while len(self.queue):
-                hungry = sorted(
-                    (n for n in self.nodes if self.has_slot(n)), key=self._rank
-                )
-                if not hungry:
-                    break
-                progressed = False
-                for node in hungry:
+            while len(self.queue) and hungry:
+                if self._serve_one(min(hungry, key=rank)):
+                    placed += 1
+                    continue
+                for node in sorted(hungry, key=rank)[1:]:
                     if self._serve_one(node):
                         placed += 1
-                        progressed = True
                         break
-                if not progressed:
+                else:
                     break
         finally:
             self._serving = False
@@ -127,12 +151,12 @@ class Matcher:
     # ------------------------------------------------------------------
     def _serve(self, node: ClusterNode) -> int:
         placed = 0
-        while self.has_slot(node) and self._serve_one(node):
+        while self._serve_one(node):
             placed += 1
         return placed
 
     def _serve_one(self, node: ClusterNode) -> bool:
-        if not self.has_slot(node):
+        if node not in self._hungry:
             return False
         entry: Optional[TaskEntry] = self.queue.match(
             node.capabilities,
@@ -145,7 +169,5 @@ class Matcher:
         return True
 
     def hungry_nodes(self) -> List[ClusterNode]:
-        """Nodes with a free slot, in serving order (introspection)."""
-        return sorted(
-            (n for n in self.nodes if self.has_slot(n)), key=self._rank
-        )
+        """Nodes with a free slot, in serving order (reads the index)."""
+        return sorted(self._hungry, key=self._hungry.__getitem__)

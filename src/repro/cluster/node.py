@@ -15,7 +15,13 @@ Each node carries:
   nodes are dead, STANDBY nodes are provisioned-but-inactive spares;
 * a DIRAC-style heartbeat: a periodic snapshot of MPL, queue depth,
   utilization and per-class velocity published into the shared clock,
-  the information a matcher/dispatcher would pull before placing work.
+  the information a matcher/dispatcher would pull before placing work;
+* one capacity notification (:meth:`ClusterNode.on_capacity_change`):
+  the node recomputes ``accepting`` and its matcher ``pull_rank`` once
+  per change — backlog ping, engine start or exit, health or speed
+  transition — and tells its subscribers (the dispatcher's
+  eligible-node cache, the matcher's hungry-node index) when either
+  moved, so neither ever scans the cluster.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from repro.errors import ConfigurationError
 #: The standard per-node machine: a quarter of the single-server
 #: ``benchmarks`` box, so a 4-node cluster matches the classic setup.
 NODE_MACHINE = MachineSpec(cpu_capacity=4.0, disk_capacity=2.0, memory_mb=2048.0)
+
+#: Matcher serving key of a node with a free slot (smallest first).
+PullRank = Tuple[float, int, str]
 
 
 class NodeHealth(enum.Enum):
@@ -65,6 +74,10 @@ class NodeHeartbeat:
     memory_pressure: float
     outstanding_estimated_work: float   # device-seconds promised to this node
     class_velocities: Tuple[Tuple[str, float], ...]  # per-workload mean velocity
+
+
+#: ``listener(node, accepting_flipped)`` — see :meth:`ClusterNode.on_capacity_change`.
+CapacityListener = Callable[["ClusterNode", bool], None]
 
 
 class ClusterNode:
@@ -150,13 +163,19 @@ class ClusterNode:
             # spares/down nodes do not tick or beat until activated
             self.manager.shutdown()
             self._heartbeat_proc.stop()
-        # Accepting-edge tracking: the manager pings on every backlog
-        # change; listeners (the dispatcher's eligible-node cache) are
-        # notified only when the accepting bit actually flips — i.e. on
-        # health transitions and max_outstanding edge crossings.
-        self._accepting_listeners: List[Callable[["ClusterNode"], None]] = []
-        self._accepting_last = self.accepting
-        self.manager.add_backlog_listener(self._recheck_accepting)
+        # Capacity state, recomputed once per change and pushed to
+        # subscribers (the dispatcher's eligible-node cache, the
+        # matcher's hungry-node index).  Inputs: the manager's backlog
+        # pings (wait-queue changes, and every engine start and exit
+        # through the engine's membership seam) and the health and speed
+        # transitions below.
+        self._capacity_listeners: List[CapacityListener] = []
+        self._accepting_last = False
+        #: Matcher serving key while the node has a free execution slot
+        #: (``None`` otherwise), as of the last capacity change.
+        self.pull_rank: Optional[PullRank] = None
+        self._refresh_capacity()
+        self.manager.add_backlog_listener(self._refresh_capacity)
 
     # ------------------------------------------------------------------
     # capacity and load introspection (what placement policies read)
@@ -205,21 +224,41 @@ class ClusterNode:
             return self.tags | {"speed:full"}
         return self.tags
 
-    def on_accepting_change(
-        self, listener: Callable[["ClusterNode"], None]
-    ) -> None:
-        """Subscribe to flips of :attr:`accepting` (edge-triggered)."""
-        self._accepting_listeners.append(listener)
+    def on_capacity_change(self, listener: CapacityListener) -> None:
+        """Subscribe to changes of the node's capacity state.
 
-    def _recheck_accepting(self) -> None:
-        current = (
-            self.health.accepts_placements
-            and self.manager.outstanding_work() < self.max_outstanding
+        ``listener(node, accepting_flipped)`` fires whenever
+        :attr:`accepting` or :attr:`pull_rank` changed since the last
+        call; ``accepting_flipped`` tells the two apart, so a subscriber
+        caring only about eligibility skips rank-only updates.
+        """
+        self._capacity_listeners.append(listener)
+
+    def _refresh_capacity(self) -> None:
+        """Recompute ``accepting`` and ``pull_rank``; notify on change.
+
+        ``outstanding_work`` is read once.  A free execution slot
+        (``running < mpl`` on an accepting node) gives the node a pull
+        rank ``(-speed_factor, outstanding_work, name)``: the matcher
+        serves the smallest first.
+        """
+        manager = self.manager
+        running = manager.engine.running_count
+        outstanding = manager.queued_count + running
+        accepting = (
+            self.health.accepts_placements and outstanding < self.max_outstanding
         )
-        if current != self._accepting_last:
-            self._accepting_last = current
-            for listener in self._accepting_listeners:
-                listener(self)
+        rank = (
+            (-self.speed_factor, outstanding, self.name)
+            if accepting and running < self.mpl
+            else None
+        )
+        flipped = accepting is not self._accepting_last
+        if flipped or rank != self.pull_rank:
+            self._accepting_last = accepting
+            self.pull_rank = rank
+            for listener in self._capacity_listeners:
+                listener(self, flipped)
 
     # ------------------------------------------------------------------
     # placement-side intake
@@ -252,20 +291,20 @@ class ClusterNode:
         self.health = NodeHealth.DOWN
         self.manager.shutdown()
         self._heartbeat_proc.stop()
-        self._recheck_accepting()
+        self._refresh_capacity()
 
     def drain(self) -> None:
         """Stop taking placements; outstanding work runs to completion."""
         if self.health is NodeHealth.UP:
             self.health = NodeHealth.DRAINING
-            self._recheck_accepting()
+            self._refresh_capacity()
 
     def park(self) -> None:
         """Park a finished (drained) node as a standby spare."""
         self.health = NodeHealth.STANDBY
         self.manager.shutdown()
         self._heartbeat_proc.stop()
-        self._recheck_accepting()
+        self._refresh_capacity()
 
     def activate(self) -> None:
         """Bring a STANDBY / DRAINING / recovered node (back) into service."""
@@ -279,7 +318,7 @@ class ClusterNode:
                 self.publish_heartbeat,
                 label=f"heartbeat:{self.name}",
             )
-        self._recheck_accepting()
+        self._refresh_capacity()
 
     def degrade(self, factor: float) -> None:
         """Slow the node to ``factor`` of full speed (fault injection).
@@ -297,6 +336,7 @@ class ClusterNode:
             return
         self.speed_factor = factor
         self._enforce_speed()
+        self._refresh_capacity()
 
     def restore_speed(self) -> None:
         """Undo :meth:`degrade` (no-op on DOWN/STANDBY, like degrade)."""
@@ -304,6 +344,7 @@ class ClusterNode:
             return
         self.speed_factor = self.base_speed_factor
         self._enforce_speed()
+        self._refresh_capacity()
 
     @property
     def serviceable(self) -> bool:

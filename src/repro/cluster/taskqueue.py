@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.engine.query import Query
 

@@ -199,6 +199,7 @@ class WorkloadManager:
         self.rejected_count = 0
 
         self.engine.on_exit(self._on_engine_exit)
+        self.engine.on_membership_change(self._backlog_changed)
         for stage in (self.characterizer, self.admission, self.scheduler):
             stage.attach(self.context)
         for controller in self.execution_controllers:
@@ -229,13 +230,16 @@ class WorkloadManager:
         self._listeners.append(listener)
 
     def add_backlog_listener(self, listener: Callable[[], None]) -> None:
-        """Called whenever :meth:`outstanding_work` may have changed.
+        """Called whenever :meth:`outstanding_work` or the running set may
+        have changed.
 
-        Every change to the backlog (queued + running) funnels through
-        request intake, engine exits, delayed-admission retries or queue
-        evacuation, so those four paths fire the listeners.  A cluster
-        dispatcher uses this to notice saturation edge crossings without
-        re-scanning node state on every placement.
+        The wait queue changes only on request intake, delayed-admission
+        retries and queue evacuation, which fire the listeners directly.
+        The running set changes only through the engine's membership
+        seam — every start, a controller's direct restart included, and
+        every exit, before the exit callbacks run — which fires them too.
+        A cluster node uses this to keep its capacity state current
+        without re-scanning on every placement.
         """
         self._backlog_listeners.append(listener)
 
@@ -370,11 +374,9 @@ class WorkloadManager:
     # engine feedback
     # ------------------------------------------------------------------
     def _on_engine_exit(self, query: Query, outcome: CompletionOutcome) -> None:
-        # The engine already removed the query from the running set:
-        # backlog listeners must observe that before the completion
-        # listeners below can act on (and read through) this manager.
-        if self._backlog_listeners:
-            self._backlog_changed()
+        # Backlog listeners already saw the exit (the engine's membership
+        # seam fires before its exit callbacks), so the completion
+        # listeners below read a current backlog through this manager.
         if outcome is CompletionOutcome.COMPLETED:
             self.metrics.record_completion(query, self.sim.now)
             self.query_log.record_query(query)
@@ -397,8 +399,6 @@ class WorkloadManager:
         # when an MPL/indicator gate may reopen.
         self._retry_delayed()
         self.pump()
-        if self._backlog_listeners:
-            self._backlog_changed()
 
     def _notify(self, query: Query) -> None:
         for listener in list(self._listeners):

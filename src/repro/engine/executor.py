@@ -154,6 +154,7 @@ class ExecutionEngine:
         self.store = RunStore()
         self._running: Dict[int, _Running] = {}
         self._callbacks: List[CompletionCallback] = []
+        self._membership_listeners: List[Callable[[], None]] = []
         self._milestone_handle = None
         self.completed_count = 0
         self.killed_count = 0
@@ -188,6 +189,16 @@ class ExecutionEngine:
     def on_exit(self, callback: CompletionCallback) -> None:
         """Register a callback fired whenever a query leaves the engine."""
         self._callbacks.append(callback)
+
+    def on_membership_change(self, listener: Callable[[], None]) -> None:
+        """Register a callback fired whenever the running set changes.
+
+        Every start (manager dispatch, a controller's direct restart)
+        and every exit (completion, kill, abort, suspension) passes
+        through one seam, which calls ``listener()`` with the query
+        already added to or removed from :attr:`running_count`.
+        """
+        self._membership_listeners.append(listener)
 
     @property
     def running_count(self) -> int:
@@ -417,6 +428,8 @@ class ExecutionEngine:
         if inflation != self._last_inflation:
             self._last_inflation = inflation
             self._demand_epoch += 1
+        for listener in self._membership_listeners:
+            listener()
 
     def _update_cap_slot(self, slot: int) -> None:
         store = self.store

@@ -14,9 +14,11 @@ Determinism rules used throughout the library:
   streams obtained via :meth:`Simulator.rng`, so adding a new random
   consumer does not perturb existing streams.
 
-Throughput notes (see DESIGN.md §7): an :class:`Event` is its own
-cancellation handle (one ``__slots__`` object per scheduled callback
-instead of a frozen-dataclass/handle pair), and the run loops dispatch
+Throughput notes (see DESIGN.md §7): the heap holds ``(time, seq,
+event)`` tuples, so every heap comparison runs in C on the float/int
+prefix (``seq`` is unique, so the :class:`Event` itself is never
+compared); the :class:`Event` is only the cancellation handle, one
+``__slots__`` object per scheduled callback.  The run loops dispatch
 all events sharing one timestamp as a *batch* bracketed by registered
 enter/exit hooks, so an engine can defer its reallocation solve until
 the last event of the instant has fired.
@@ -36,13 +38,15 @@ from repro.errors import SimulationBudgetExceeded, SimulationError
 
 
 class Event:
-    """A scheduled callback, doubling as its own cancellation handle.
+    """A scheduled callback and its cancellation handle.
 
-    Events compare by ``(time, seq)`` which gives deterministic FIFO
-    ordering among events scheduled for the same instant.  The object
-    is pushed on the heap directly; :meth:`cancel` marks it dead and
-    keeps the simulator's live-event counter exact, and ``done`` blocks
-    a late cancel on an already-fired event from drifting the count.
+    The simulator's heap orders ``(time, seq, event)`` entries; ``seq``
+    gives deterministic FIFO ordering among events scheduled for the
+    same instant, and events themselves are never compared.
+    :meth:`cancel` marks the event dead (it is skipped when its heap
+    entry is popped) and keeps the simulator's live-event counter
+    exact; ``done`` blocks a late cancel on an already-fired event from
+    drifting the count.
     """
 
     __slots__ = ("time", "seq", "action", "label", "cancelled", "done", "sim")
@@ -62,9 +66,6 @@ class Event:
         self.cancelled = False
         self.done = False
         self.sim = sim
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def cancel(self) -> None:
         """Prevent the event's action from running when it is dequeued."""
@@ -94,7 +95,8 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._now = 0.0
-        self._queue: List[Event] = []
+        #: Heap of ``(time, seq, event)`` entries (C-level comparisons).
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._rngs: Dict[str, np.random.Generator] = {}
         self._running = False
@@ -149,8 +151,9 @@ class Simulator:
                     f"cannot schedule event at {time:.6f} in the past (now={now:.6f})"
                 )
             time = now
-        event = Event(time, next(self._seq), action, label, self)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time, seq, action, label, self)
+        heapq.heappush(self._queue, (time, seq, event))
         self._live_events += 1
         return event
 
@@ -210,13 +213,13 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            event = heapq.heappop(queue)
+            time, _, event = heapq.heappop(queue)
             if event.cancelled:
                 event.done = True
                 continue
             event.done = True
             self._live_events -= 1
-            self._now = event.time
+            self._now = time
             self._events_fired += 1
             event.action()
             return True
@@ -252,13 +255,13 @@ class Simulator:
         """Shared batched dispatch loop for :meth:`run_until` / :meth:`run`."""
         queue = self._queue
         hooks = self._batch_hooks
+        heappop = heapq.heappop
         fired = 0
         while queue:
-            head = queue[0]
-            time = head.time
+            time = queue[0][0]
             if time > until:
                 break
-            heapq.heappop(queue)
+            head = heappop(queue)[2]
             if head.cancelled:
                 head.done = True
                 continue
@@ -266,7 +269,7 @@ class Simulator:
             self._live_events -= 1
             self._now = time
             self._events_fired += 1
-            if hooks and queue and queue[0].time == time:
+            if hooks and queue and queue[0][0] == time:
                 # Same-timestamp batch: bracket with the registered
                 # hooks and drain every event at this instant.  Events
                 # scheduled *during* the batch at the same time join it
@@ -283,8 +286,8 @@ class Simulator:
                             budget=max_events,
                             fired=fired,
                         )
-                    while queue and queue[0].time == time:
-                        nxt = heapq.heappop(queue)
+                    while queue and queue[0][0] == time:
+                        nxt = heappop(queue)[2]
                         if nxt.cancelled:
                             nxt.done = True
                             continue

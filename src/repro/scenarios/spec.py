@@ -19,9 +19,11 @@ and :class:`repro.scheduling.queues.TenantShareScheduler` — key on.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.workloads.models import (
@@ -40,6 +42,36 @@ ARRIVAL_KINDS = ("open", "diurnal", "batch", "closed")
 #: Canonical workload shapes a :class:`WorkloadPattern` can reference
 #: (the builders in :mod:`repro.workloads.generator`).
 WORKLOAD_KINDS = ("oltp", "bi", "reports", "utilities")
+
+
+def _check_number(
+    field_name: str, value: object, rule: str, ok: Callable[[float], bool]
+) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a finite
+    real number satisfying ``ok`` (``rule`` describes ``ok``)."""
+    if (
+        not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not ok(value)
+    ):
+        raise ConfigurationError(
+            f"arrival {field_name} must be {rule}, got {value!r}"
+        )
+
+
+_AT_LEAST_ZERO = ("a finite number >= 0", lambda v: v >= 0)
+
+#: ``field -> (rule, test)`` for :class:`ArrivalSpec`'s numeric fields.
+_ARRIVAL_RULES: Dict[str, Tuple[str, Callable[[float], bool]]] = {
+    "rate": _AT_LEAST_ZERO,
+    "amplitude": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "period": ("a finite number > 0", lambda v: v > 0),
+    "phase": ("a finite number", lambda v: True),
+    "count": ("an integer >= 0", lambda v: v >= 0 and v == int(v)),
+    "at": _AT_LEAST_ZERO,
+    "population": ("an integer >= 1", lambda v: v >= 1 and v == int(v)),
+    "think_time": _AT_LEAST_ZERO,
+}
 
 
 @dataclass(frozen=True)
@@ -75,6 +107,18 @@ class ArrivalSpec:
             raise ConfigurationError(
                 f"unknown arrival kind {self.kind!r}; one of {ARRIVAL_KINDS}"
             )
+        # Every numeric field is checked whatever the kind: an infinite
+        # or NaN rate would otherwise hang the arrival generator, and a
+        # negative one would die later inside the arrival process.
+        for name, (rule, ok) in _ARRIVAL_RULES.items():
+            _check_number(name, getattr(self, name), rule, ok)
+        for pair in self.phases:
+            if len(pair) != 2:
+                raise ConfigurationError(
+                    f"arrival phase must be a (start, rate) pair, got {pair!r}"
+                )
+            _check_number("phase start", pair[0], *_AT_LEAST_ZERO)
+            _check_number("phase rate", pair[1], *_AT_LEAST_ZERO)
 
     def build(self) -> ArrivalProcess:
         if self.kind == "open":

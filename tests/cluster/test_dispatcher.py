@@ -6,7 +6,7 @@ from repro.cluster import ClusterDispatcher, ClusterNode, make_policy
 from repro.cluster.scenario import CLUSTER_SLAS
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationBudgetExceeded
 
 from tests.conftest import make_query
 
@@ -214,3 +214,32 @@ class TestDraining:
         dispatcher.run(0.0, drain=60.0)
         assert first.state is QueryState.COMPLETED
         assert dispatcher.completions == 5
+
+
+class TestRunBudget:
+    """``ClusterDispatcher.run`` passes ``max_events`` to the simulator."""
+
+    @pytest.mark.parametrize("dispatch", ["push", "pull"])
+    def test_tiny_budget_raises_and_still_shuts_down(self, dispatch):
+        sim, dispatcher = _cluster(dispatch=dispatch)
+        for _ in range(6):
+            dispatcher.submit(make_query(cpu=1.0, io=0.5, sql="oltp:q"))
+        with pytest.raises(SimulationBudgetExceeded) as excinfo:
+            dispatcher.run(10.0, drain=10.0, max_events=5)
+        assert excinfo.value.budget == 5
+        # shutdown() ran: no periodic process is left armed
+        assert dispatcher._ticker._stopped
+        for node in dispatcher.nodes:
+            assert node._heartbeat_proc._stopped
+            assert node.manager._ticker._stopped
+
+    def test_sufficient_budget_changes_nothing(self):
+        outcomes = []
+        for budget in (None, 100_000):
+            sim, dispatcher = _cluster(dispatch="pull")
+            for _ in range(6):
+                dispatcher.submit(make_query(cpu=1.0, io=0.5, sql="oltp:q"))
+            dispatcher.run(10.0, drain=10.0, max_events=budget)
+            outcomes.append((dispatcher.completions, sim.events_fired, sim.now))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 6

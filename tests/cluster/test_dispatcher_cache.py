@@ -9,7 +9,7 @@ from repro.cluster.scenario import build_cluster, run_cluster_scenario
 from repro.engine.simulator import Simulator
 from repro.parallel.digest import dispatcher_digest
 
-from tests.conftest import make_query
+from tests.conftest import CheckedSimulator, make_query
 
 
 def _query(qid: int, cost: float = 0.1):
@@ -72,6 +72,24 @@ class TestCacheInvalidation:
         assert node.accepting
         assert node.name in {n.name for n in self.dispatcher.eligible_nodes()}
 
+    def test_node_local_queue_crossing_invalidates(self):
+        # mpl=1, max_outstanding=2: the second query waits in the node's
+        # own queue, so the accepting bit flips on a backlog change with
+        # no engine start.
+        sim = Simulator(seed=3)
+        dispatcher = build_cluster(
+            sim, nodes=3, policy="round-robin", mpl=1, max_outstanding=2
+        )
+        node = dispatcher.nodes[0]
+        dispatcher.eligible_nodes()
+        for qid in (1, 2):
+            node.submit(_query(qid, cost=5.0))
+        assert (node.running, node.queued) == (1, 1)
+        assert dispatcher.eligible_nodes() == [
+            n for n in dispatcher.nodes if n.accepting
+        ]
+        assert node not in dispatcher.eligible_nodes()
+
     def test_drain_queue_sees_capacity_freed_by_completing_query(self):
         # Regression: the manager pings backlog listeners *before*
         # completion listeners run, so the dispatcher's completion-time
@@ -111,21 +129,6 @@ class TestCacheInvalidation:
             assert cached == fresh, f"diverged after step {step}"
             checks += 1
         assert checks == 6
-
-
-class _CheckedSimulator(Simulator):
-    """Calls ``check()`` after every event's action."""
-
-    def __init__(self, seed: int, check) -> None:
-        super().__init__(seed=seed)
-        self._check = check
-
-    def schedule_at(self, time, action, label=""):
-        def checked():
-            action()
-            self._check()
-
-        return super().schedule_at(time, checked, label)
 
 
 def _digests_with_cache_on_and_off(monkeypatch, **kwargs):
@@ -178,7 +181,7 @@ class TestCacheEquivalence:
             return built[0]
 
         monkeypatch.setattr(scenario, "build_cluster", capture)
-        sim = _CheckedSimulator(13, check)
+        sim = CheckedSimulator(13, check)
         run_cluster_scenario(
             nodes=3, policy="cost", horizon=10.0, sim=sim,
             fault_plan=FaultPlan.node_kill("n1", at=3.0, recover_at=6.0),

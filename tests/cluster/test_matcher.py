@@ -3,16 +3,26 @@
 import pytest
 
 from repro.admission.threshold import ThresholdAdmission
-from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding, make_policy
+from repro.cluster import ClusterDispatcher, ClusterNode, PullBinding
+from repro.cluster import scenario
 from repro.cluster.dispatcher import make_binding
+from repro.cluster.failover import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.cluster.matcher import Matcher
-from repro.cluster.scenario import CLUSTER_SLAS
+from repro.cluster.scenario import (
+    CLUSTER_SLAS,
+    HETEROGENEOUS_SPEEDS,
+    build_cluster,
+    churn_plan,
+    matcher_scenario,
+    run_cluster_scenario,
+)
 from repro.core.policy import AdmissionPolicy
 from repro.engine.query import QueryState
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
+from repro.execution.suspend_resume import SuspendResumeController
 
-from tests.conftest import make_query
+from tests.conftest import CheckedSimulator, make_query, staged_plan
 
 
 def _pull_cluster(seed=5, count=3, mpl=1, max_outstanding=None, **kwargs):
@@ -200,3 +210,145 @@ class TestPullDeterminism:
 
     def test_different_seed_different_digest(self):
         assert self._digest(9) != self._digest(10)
+
+
+def _live_rank(node):
+    return (-node.speed_factor, node.outstanding_work, node.name)
+
+
+def _assert_index_is_fresh_scan(matcher, when):
+    """The hungry-node index equals a from-scratch scan: members, ranks, order."""
+    fresh = sorted((n for n in matcher.nodes if Matcher.has_slot(n)), key=_live_rank)
+    assert matcher.hungry_nodes() == fresh, f"index order diverged at t={when}"
+    assert matcher._hungry == {n: _live_rank(n) for n in fresh}, (
+        f"index ranks diverged at t={when}"
+    )
+
+
+class TestHungryIndexEqualsFreshScan:
+    """The matcher's index is kept by node notifications, never by scans.
+
+    After every simulator event it must equal the fresh ranking of the
+    nodes for which :meth:`Matcher.has_slot` holds — the check fails if
+    any input of ``has_slot`` or of the rank changes without a capacity
+    notification (engine start/exit, backlog, health, speed).
+    """
+
+    def test_faulted_churn_scenario_every_event(self, monkeypatch):
+        built = []
+        checked = []
+
+        def check():
+            _assert_index_is_fresh_scan(built[0].binding.matcher, sim.now)
+            checked.append(sim.now)
+
+        def capture(*args, **kwargs):
+            dispatcher = build_cluster(*args, **kwargs)
+            built.append(dispatcher)
+            # a runtime slowdown and its undo on a live node
+            n2 = dispatcher.node("n2")
+            sim.schedule_at(2.0, lambda: dispatcher.degrade_node(n2, 0.5))
+            sim.schedule_at(7.0, lambda: dispatcher.restore_node_speed(n2))
+            return dispatcher
+
+        monkeypatch.setattr(scenario, "build_cluster", capture)
+        sim = CheckedSimulator(13, check)
+        dispatcher = run_cluster_scenario(
+            nodes=3, policy="cost", horizon=10.0, sim=sim, dispatch="pull",
+            fault_plan=FaultPlan.node_kill("n1", at=3.0, recover_at=6.0),
+        )
+        assert dispatcher.dispatch == "pull"
+        assert len(dispatcher.injector.fired) == 2
+        assert dispatcher.completions > 100
+        assert len(checked) == sim.events_fired > 1000
+
+    def test_heterogeneous_64_node_matcher_scenario_every_event(self):
+        nodes, horizon = 64, 3.0
+        checked = []
+        sim = CheckedSimulator(
+            7, lambda: (_assert_index_is_fresh_scan(matcher, sim.now), checked.append(1))
+        )
+        dispatcher = build_cluster(
+            sim, nodes=nodes, policy="cost", mpl=2, dispatch="pull",
+            speed_factors=HETEROGENEOUS_SPEEDS,
+        )
+        matcher = dispatcher.binding.matcher
+        generator = matcher_scenario(horizon=horizon, nodes=nodes).build(
+            sim, dispatcher.submit, sessions=dispatcher.sessions
+        )
+        dispatcher.add_completion_listener(generator.notify_done)
+        plan = churn_plan(nodes, horizon)
+        degrade = (
+            FaultEvent(0.5, "n1", FaultKind.DEGRADE, factor=0.3),
+            FaultEvent(0.8, "n6", FaultKind.DEGRADE, factor=0.6),
+            FaultEvent(1.7, "n1", FaultKind.RECOVER),
+        )
+        injector = FaultInjector(dispatcher)
+        injector.arm(FaultPlan(tuple(plan.events) + degrade))
+        sim.schedule_at(2.2, lambda: dispatcher.restore_node_speed(dispatcher.node("n6")))
+        dispatcher.run(horizon, drain=horizon)
+        kinds = {event.kind for event in injector.fired}
+        assert {FaultKind.CRASH, FaultKind.DEGRADE, FaultKind.RECOVER} <= kinds
+        assert dispatcher.completions > 500
+        assert len(checked) == sim.events_fired > 5000
+
+    def test_degrade_and_restore_reorder_an_idle_cluster(self):
+        sim = Simulator(seed=5)
+        nodes = [ClusterNode(sim, name=f"n{i}", mpl=2) for i in range(3)]
+        dispatcher = ClusterDispatcher(sim, nodes, dispatch="pull")
+        matcher = dispatcher.binding.matcher
+        assert [n.name for n in matcher.hungry_nodes()] == ["n0", "n1", "n2"]
+        dispatcher.degrade_node(nodes[0], 0.5)
+        _assert_index_is_fresh_scan(matcher, sim.now)
+        assert [n.name for n in matcher.hungry_nodes()] == ["n1", "n2", "n0"]
+        dispatcher.restore_node_speed(nodes[0])
+        _assert_index_is_fresh_scan(matcher, sim.now)
+        assert [n.name for n in matcher.hungry_nodes()] == ["n0", "n1", "n2"]
+        # the next arrival goes to the restored node
+        dispatcher.submit(make_query(cpu=1.0, io=0.0, sql="oltp:q"))
+        assert nodes[0].running == 1
+
+    def test_node_local_delay_updates_the_rank(self):
+        # A held (DELAYed) admission grows the node's backlog with no
+        # engine start: only the manager's backlog ping re-ranks it.
+        sim = Simulator(seed=5)
+        holding = ClusterNode(
+            sim,
+            name="n0",
+            mpl=2,
+            admission=ThresholdAdmission(AdmissionPolicy(queue_over_cost=3.0)),
+        )
+        other = ClusterNode(sim, name="n1", mpl=2)
+        dispatcher = ClusterDispatcher(sim, [holding, other], dispatch="pull")
+        matcher = dispatcher.binding.matcher
+        dispatcher.submit(make_query(cpu=5.0, io=0.0, sql="bi:q"))
+        assert (holding.running, holding.queued) == (0, 1)
+        _assert_index_is_fresh_scan(matcher, sim.now)
+        assert matcher.hungry_nodes() == [other, holding]
+
+    def test_suspend_resume_restart_on_a_cluster_node(self):
+        # The controller's resume calls engine.start directly, bypassing
+        # the manager's pump; only the engine's membership seam can tell
+        # the index that the node's slot was taken back.
+        checked = []
+        sim = CheckedSimulator(
+            5, lambda: (_assert_index_is_fresh_scan(matcher, sim.now), checked.append(1))
+        )
+        controller = SuspendResumeController(
+            min_victim_work=0.0,
+            resume_when_idle_below=1,
+            pressure=lambda context: 1.0 <= context.now < 2.0,
+        )
+        nodes = [ClusterNode(sim, name=f"n{i}", mpl=1) for i in range(2)]
+        nodes[0].manager.add_execution_controller(controller)
+        dispatcher = ClusterDispatcher(sim, nodes, dispatch="pull")
+        matcher = dispatcher.binding.matcher
+        victim = make_query(cpu=5.0, io=0.0, priority=1, plan=staged_plan(), sql="bi:q")
+        dispatcher.submit(victim)
+        assert nodes[0].running == 1
+        assert matcher.hungry_nodes() == [nodes[1]]
+        dispatcher.run(4.0, drain=20.0)
+        assert controller.suspend_events and controller.resume_events
+        assert victim.state is QueryState.COMPLETED
+        assert victim.suspend_count == 1
+        assert checked

@@ -78,6 +78,21 @@ def staged_plan(state_mb: float = 50.0) -> QueryPlan:
     )
 
 
+class CheckedSimulator(Simulator):
+    """Calls ``check()`` after every event's action."""
+
+    def __init__(self, seed: int, check) -> None:
+        super().__init__(seed=seed)
+        self._check = check
+
+    def schedule_at(self, time, action, label=""):
+        def checked():
+            action()
+            self._check()
+
+        return super().schedule_at(time, checked, label)
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=7)

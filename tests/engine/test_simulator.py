@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.simulator import Event, Simulator
+from repro.engine.simulator import Simulator
 from repro.errors import SimulationBudgetExceeded, SimulationError
 
 
@@ -194,12 +194,14 @@ class TestEventOrdering:
         assert fired == sorted(fired)
         assert len(fired) == len(times)
 
-    def test_event_ordering_dataclass(self):
-        early = Event(time=1.0, seq=0, action=lambda: None)
-        late = Event(time=2.0, seq=1, action=lambda: None)
-        tie = Event(time=1.0, seq=2, action=lambda: None)
-        assert early < late
-        assert early < tie
+    def test_heap_entries_order_by_time_then_seq(self):
+        # The heap orders (time, seq, event) entries; seq is unique, so
+        # two entries never tie and the events are never compared.
+        sim = Simulator()
+        late = sim.schedule_at(2.0, lambda: None)
+        early = sim.schedule_at(1.0, lambda: None)
+        tie = sim.schedule_at(1.0, lambda: None)
+        assert [entry[2] for entry in sorted(sim._queue)] == [early, tie, late]
 
 
 class TestBudget:

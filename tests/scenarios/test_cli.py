@@ -7,6 +7,8 @@ stderr and exit code 2, never a traceback.
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.scenarios.matrix import policy_names, scenario_names
 
@@ -88,6 +90,7 @@ class TestExitCodes:
         assert "scenario error:" in captured.err
         assert needle in captured.err
         assert "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_unknown_scenario(self, capsys):
         self._fails_cleanly(
@@ -125,6 +128,19 @@ class TestExitCodes:
         path.write_text(json.dumps({"name": "x"}))
         self._fails_cleanly(
             capsys, ["scenario", "run", "--spec", str(path)], "malformed"
+        )
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative_rate(self, capsys, tmp_path, rate):
+        # inf and nan used to hang the run; -1.0 died with a traceback
+        from repro.scenarios.matrix import get_scenario
+
+        data = get_scenario("diurnal_mix").as_dict()
+        data["tenants"][0]["workloads"][0]["arrival"]["rate"] = rate
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))  # writes Infinity / NaN
+        self._fails_cleanly(
+            capsys, ["scenario", "run", "--spec", str(path)], "arrival rate"
         )
 
     def test_yaml_without_pyyaml(self, capsys, tmp_path, monkeypatch):

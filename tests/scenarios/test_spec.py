@@ -68,6 +68,57 @@ class TestArrivalSpec:
         assert process.rate_at(25.0) == 4.0
 
 
+class TestArrivalSpecValidation:
+    """Non-finite and out-of-range numbers fail at the spec boundary."""
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -1.0])
+    def test_bad_rate_rejected_directly(self, rate):
+        with pytest.raises(ConfigurationError, match="arrival rate"):
+            ArrivalSpec(kind="open", rate=rate)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -1.0])
+    def test_bad_rate_rejected_through_from_dict(self, rate):
+        data = json.loads(json.dumps(_spec().as_dict()))
+        data["tenants"][0]["workloads"][0]["arrival"]["rate"] = rate
+        with pytest.raises(ConfigurationError, match="arrival rate"):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "fields, needle",
+        [
+            ({"phases": ((10.0, float("inf")),)}, "phase rate"),
+            ({"phases": ((10.0, -2.0),)}, "phase rate"),
+            ({"phases": ((float("nan"), 1.0),)}, "phase start"),
+            ({"phases": ((-1.0, 1.0),)}, "phase start"),
+            ({"amplitude": 1.5}, "amplitude"),
+            ({"amplitude": float("nan")}, "amplitude"),
+            ({"period": 0.0}, "period"),
+            ({"period": float("inf")}, "period"),
+            ({"phase": float("nan")}, "phase"),
+            ({"count": -1}, "count"),
+            ({"count": 2.5}, "count"),
+            ({"at": float("inf")}, "at"),
+            ({"population": 0}, "population"),
+            ({"think_time": -0.5}, "think_time"),
+            ({"think_time": float("inf")}, "think_time"),
+        ],
+    )
+    def test_bad_field_rejected(self, fields, needle):
+        with pytest.raises(ConfigurationError, match=f"arrival {needle} must be"):
+            ArrivalSpec(kind="open", **fields)
+
+    def test_phase_must_be_a_pair(self):
+        with pytest.raises(ConfigurationError, match="pair"):
+            ArrivalSpec(kind="open", phases=((1.0, 2.0, 3.0),))
+
+    def test_boundary_values_accepted(self):
+        ArrivalSpec(kind="open", rate=0.0, phases=((0.0, 0.0),))
+        ArrivalSpec(kind="diurnal", amplitude=0.0)
+        ArrivalSpec(kind="diurnal", amplitude=1.0, phase=-5.0)
+        ArrivalSpec(kind="batch", count=0, at=0.0)
+        ArrivalSpec(kind="closed", population=1, think_time=0.0)
+
+
 class TestWorkloadPattern:
     def test_builds_namespaced_spec(self):
         pattern = WorkloadPattern(
